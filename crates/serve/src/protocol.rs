@@ -218,9 +218,16 @@ pub enum Response {
     /// Raw session counters.
     #[allow(missing_docs)]
     Snapshot { snapshot: SessionSnapshot },
-    /// Final word before the server stops: metrics over the whole session
-    /// (exactly what a batch replay of the same arrivals would report),
-    /// when at least one job ran.
+    /// Final word before the server stops: metrics over the whole session,
+    /// when at least one job ran. Waits match a batch replay of the same
+    /// arrivals under every backfill discipline, and under FCFS + EASY the
+    /// whole [`SimMetrics`] does (pinned by `tests/serve_online.rs`).
+    /// Conservative backfill can differ in the reservation counts: an
+    /// `Advance` landing exactly on an arrival instant runs that instant's
+    /// completions in a pass of their own, before the arrivals are
+    /// submitted, where a batch replay handles both in one pass — so a
+    /// job one side plans, and counts as reserved, may start on the other
+    /// at the head of the queue without a reservation.
     #[allow(missing_docs)]
     Bye { metrics: Option<SimMetrics> },
     /// A follower's journal position, answering [`Request::ReplHello`]:

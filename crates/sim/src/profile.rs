@@ -56,9 +56,10 @@ pub struct CapacityProfile {
 }
 
 // Hand-written instead of derived so `clone_from` reuses the target's
-// breakpoint allocation: conservative backfill copy-assigns the live
-// skyline into one long-lived scratch profile every pass, and the derived
-// impl would discard and reallocate the scratch vector each time.
+// breakpoint allocation: every conservative-backfill plan rebuild
+// copy-assigns the live skyline into the partition's long-lived plan
+// profile, and the derived impl would discard and reallocate that vector
+// each time.
 impl Clone for CapacityProfile {
     fn clone(&self) -> Self {
         Self {

@@ -188,11 +188,10 @@ pub struct SimSession {
     /// any clock-reaching advance. Not part of the saved state: flush
     /// the round before saving (the serving layer flushes at round end).
     staged_parts: Vec<(usize, u64)>,
-    /// Scratch profile for conservative backfill: each pass copy-assigns
-    /// the partition's maintained skyline into it and carves trial
-    /// reservations, reusing one breakpoint allocation across passes.
-    /// Not part of the saved state — it is dead between passes.
-    scratch_profile: CapacityProfile,
+    /// Per-partition conservative-backfill plans, kept across passes
+    /// (see [`Plan`]). Derived state: not part of the saved state, and a
+    /// restored session starts every plan stale.
+    plans: Vec<Plan>,
     /// Event log since the last `drain_events` (off for batch replay,
     /// where nobody drains and the log would only cost memory).
     pub(crate) record_events: bool,
@@ -210,6 +209,66 @@ pub struct SimSession {
     events_processed: u64,
     /// Tenant table + per-tenant accounting; `None` when tenancy is off.
     tenants: Option<TenantState>,
+}
+
+/// One partition's conservative-backfill plan, kept alive between passes
+/// so a pass only plans the jobs that arrived since the last one.
+///
+/// Invariant while `fresh`: `starts[i]` is the planned start of the
+/// partition's `waiting[i]` for every `i < starts.len()`, and `profile`
+/// is the skyline minus the reservation of each of those jobs — exactly
+/// what planning that queue prefix from scratch at the current instant
+/// would produce, on `[now, ∞)`. A plan stops agreeing with a rebuild
+/// when capacity comes back earlier than planned (a completion before its
+/// end estimate), when the queue changes inside the planned prefix (an
+/// enqueue there, a cancel, a head start the plan did not schedule for
+/// `now`), or when its assumptions lapse at pass time (jobs overrunning
+/// their estimate, a planned start the clock has passed, fair-share
+/// reordering). The first kind clears `fresh` where it happens; the
+/// second is checked by [`SimSession::plan_reusable`].
+#[derive(Debug)]
+struct Plan {
+    profile: CapacityProfile,
+    starts: Vec<Timestamp>,
+    fresh: bool,
+}
+
+impl Plan {
+    fn stale() -> Self {
+        Self {
+            profile: CapacityProfile::new(Timestamp::MIN, 0),
+            starts: Vec::new(),
+            fresh: false,
+        }
+    }
+
+    /// Marks the plan for a rebuild at the next pass.
+    fn invalidate(&mut self) {
+        self.starts.clear();
+        self.fresh = false;
+    }
+
+    /// Plans every job of `queue` past the planned prefix at its earliest
+    /// fit from `now`, in queue order, reserving each slot in the profile.
+    /// A rebuild is this same loop from an empty prefix on a fresh copy
+    /// of the skyline.
+    fn extend(
+        &mut self,
+        queue: &[usize],
+        now: Timestamp,
+        procs_eff: &[u64],
+        plan_wall: &[Duration],
+    ) {
+        for &idx in &queue[self.starts.len()..] {
+            let (procs, wall) = (procs_eff[idx], plan_wall[idx]);
+            let s = self
+                .profile
+                .earliest_fit(now, procs, wall)
+                .expect("procs_eff ≤ partition capacity");
+            self.profile.reserve(s, s + wall, procs);
+            self.starts.push(s);
+        }
+    }
 }
 
 impl SimSession {
@@ -238,7 +297,7 @@ impl SimSession {
             clock: Timestamp::MIN,
             dirty: Vec::new(),
             staged_parts: Vec::new(),
-            scratch_profile: CapacityProfile::new(0, 0),
+            plans: (0..parts).map(|_| Plan::stale()).collect(),
             record_events: true,
             allow_duplicate_ids: false,
             events: Vec::new(),
@@ -258,6 +317,21 @@ impl SimSession {
         let mut s = Self::new(system, config);
         s.tenants = Some(TenantState::new(table));
         s
+    }
+
+    /// Reserves room for `additional` more submissions in the per-job
+    /// tables, so a batch replay that knows its trace length grows each
+    /// table once instead of by repeated doubling.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        self.jobs.reserve(additional);
+        self.procs_eff.reserve(additional);
+        self.plan_wall.reserve(additional);
+        self.part_of.reserve(additional);
+        self.key_of.reserve(additional);
+        self.promised.reserve(additional);
+        self.state.reserve(additional);
+        self.by_id.reserve(additional);
+        self.pending.reserve(additional);
     }
 
     /// Current simulation time. `Timestamp::MIN` until the first
@@ -556,6 +630,7 @@ impl SimSession {
             }
             JobState::Waiting => {
                 let part = self.part_of[idx];
+                self.plans[part].invalidate();
                 let waiting = &mut self.cluster.partition_mut(part).waiting;
                 let pos = waiting
                     .iter()
@@ -914,7 +989,10 @@ impl SimSession {
     /// Asserts that every partition's incrementally maintained skyline is
     /// point-for-point identical to a from-scratch rebuild from the
     /// running set — the invariant the whole incremental-profile refactor
-    /// rests on. Test hook for the differential property suite; panics
+    /// rests on — and, under conservative backfill, that every plan a
+    /// pass at the current instant would reuse has the planned starts and
+    /// the profile (on `[now, ∞)`) of a plan rebuilt from the skyline and
+    /// the queue. Test hook for the differential property suites; panics
     /// with context on divergence.
     #[doc(hidden)]
     pub fn assert_profiles_match_rebuild(&self) {
@@ -945,6 +1023,36 @@ impl SimSession {
                 rebuilt.points(),
                 "partition {part}: incremental skyline diverged from rebuild at t={now}"
             );
+            // A plan the next pass at `now` would reuse must equal the
+            // plan a rebuild there would make of the same queue prefix.
+            if self.config.backfill != Backfill::Conservative
+                || !self.plan_reusable(part, now, overrun)
+            {
+                continue;
+            }
+            let plan = &self.plans[part];
+            let mut replanned = Plan {
+                profile: sky,
+                starts: Vec::new(),
+                fresh: true,
+            };
+            replanned.extend(
+                &p.waiting[..plan.starts.len()],
+                now,
+                &self.procs_eff,
+                &self.plan_wall,
+            );
+            assert_eq!(
+                plan.starts, replanned.starts,
+                "partition {part}: kept plan's starts diverged from rebuild at t={now}"
+            );
+            let mut kept = plan.profile.clone();
+            kept.prune_to(now);
+            assert_eq!(
+                kept.points(),
+                replanned.profile.points(),
+                "partition {part}: kept plan's profile diverged from rebuild at t={now}"
+            );
         }
     }
 
@@ -965,7 +1073,10 @@ impl SimSession {
             self.finish_heap.pop();
             self.events_processed += 1;
             let part = self.part_of[idx];
-            self.cluster.partition_mut(part).finish(idx, now);
+            let done = self.cluster.partition_mut(part).finish(idx, now);
+            if self.config.backfill == Backfill::Conservative && now < done.end_estimate {
+                self.plans[part].invalidate();
+            }
             self.state[idx] = JobState::Finished;
             self.finished_count += 1;
             if let Some(ts) = &mut self.tenants {
@@ -1045,6 +1156,9 @@ impl SimSession {
         let pos = waiting
             .partition_point(|&other| (key_of[other], jobs[other].submit, jobs[other].id) <= key);
         waiting.insert(pos, idx);
+        if self.config.backfill == Backfill::Conservative && pos < self.plans[part].starts.len() {
+            self.plans[part].invalidate();
+        }
     }
 
     /// Starts job `idx` at `now` on `part` (must fit).
@@ -1130,6 +1244,14 @@ impl SimSession {
             match p.waiting.first() {
                 Some(&head) if self.procs_eff[head] <= p.free => {
                     self.cluster.partition_mut(part).waiting.remove(0);
+                    if self.config.backfill == Backfill::Conservative {
+                        let plan = &mut self.plans[part];
+                        if plan.starts.first() == Some(&now) {
+                            plan.starts.remove(0);
+                        } else {
+                            plan.invalidate();
+                        }
+                    }
                     self.start(part, head, now);
                 }
                 _ => break,
@@ -1184,7 +1306,7 @@ impl SimSession {
         match self.config.backfill {
             Backfill::None => unreachable!("handled above"),
             Backfill::Easy => self.schedule_easy(part, now),
-            Backfill::Conservative => self.schedule_conservative(part, now),
+            Backfill::Conservative => self.schedule_conservative(part, now, overrun),
         }
         self.cluster
             .partition_mut(part)
@@ -1276,43 +1398,60 @@ impl SimSession {
 
     /// Conservative backfilling: every queued job gets a planned slot in a
     /// shared capacity profile; whoever's slot is "now" starts.
-    fn schedule_conservative(&mut self, part: usize, now: Timestamp) {
-        // Conservative carves per-candidate reservations that must not
-        // outlive this pass, so it copy-assigns the maintained skyline
-        // into the session's scratch profile — a memcpy into one
-        // long-lived breakpoint allocation, not a fresh clone (and not an
-        // O(running) rebuild).
-        let waiting = {
-            let p = self.cluster.partition(part);
-            self.scratch_profile.clone_from(p.skyline());
-            p.waiting.clone()
-        };
-        let profile = &mut self.scratch_profile;
-        let mut to_start = Vec::new();
-        for &idx in &waiting {
-            let procs = self.procs_eff[idx];
-            let wall = self.plan_wall[idx];
-            let s = profile
-                .earliest_fit(now, procs, wall)
-                .expect("procs_eff ≤ partition capacity");
-            profile.reserve(s, s + wall, procs);
-            if self.promised[idx].is_none() {
-                self.promised[idx] = Some(s);
-            }
-            if s == now {
-                to_start.push(idx);
+    ///
+    /// The partition's [`Plan`] survives between passes: when it is still
+    /// what a rebuild would produce, the pass plans only the queue tail
+    /// the plan does not cover yet; otherwise it rebuilds from a fresh
+    /// copy of the skyline (overrun overlay included). Either way the
+    /// jobs planned at `now` then start, in queue order.
+    fn schedule_conservative(&mut self, part: usize, now: Timestamp, overrun: u64) {
+        let reuse = self.plan_reusable(part, now, overrun);
+        let plan = &mut self.plans[part];
+        let p = self.cluster.partition(part);
+        if reuse {
+            plan.profile.prune_to(now);
+        } else {
+            plan.profile.clone_from(p.skyline());
+            plan.starts.clear();
+            plan.fresh = true;
+        }
+        let planned = plan.starts.len();
+        plan.extend(&p.waiting, now, &self.procs_eff, &self.plan_wall);
+        for (&idx, &s) in p.waiting[planned..].iter().zip(&plan.starts[planned..]) {
+            self.promised[idx].get_or_insert(s);
+        }
+        // Start the jobs planned at `now` and close the gaps they leave in
+        // the queue and the plan. Their reservations stay in the plan
+        // profile: a start carves the same interval out of the skyline.
+        let mut waiting = std::mem::take(&mut self.cluster.partition_mut(part).waiting);
+        let mut starts = std::mem::take(&mut self.plans[part].starts);
+        let mut kept = 0;
+        for i in 0..waiting.len() {
+            if starts[i] == now {
+                self.start(part, waiting[i], now);
+            } else {
+                waiting[kept] = waiting[i];
+                starts[kept] = starts[i];
+                kept += 1;
             }
         }
-        for idx in to_start {
-            let p = self.cluster.partition_mut(part);
-            let pos = p
-                .waiting
-                .iter()
-                .position(|&w| w == idx)
-                .expect("job is waiting");
-            p.waiting.remove(pos);
-            self.start(part, idx, now);
-        }
+        waiting.truncate(kept);
+        starts.truncate(kept);
+        self.cluster.partition_mut(part).waiting = waiting;
+        self.plans[part].starts = starts;
+    }
+
+    /// True when partition `part`'s kept plan still equals a rebuild at
+    /// `now`, given `overrun` units held past their estimates: the plan
+    /// is fresh, nothing overruns (the overlay only holds at this
+    /// instant), no planned start is already behind the clock, and the
+    /// queue order is static (fair-share re-sorts it every decision).
+    fn plan_reusable(&self, part: usize, now: Timestamp, overrun: u64) -> bool {
+        let plan = &self.plans[part];
+        plan.fresh
+            && overrun == 0
+            && !self.config.policy.is_fair_share()
+            && plan.starts.iter().all(|&s| s >= now)
     }
 }
 
@@ -1493,6 +1632,31 @@ mod tests {
         assert!(s.cancel(2));
         assert_eq!(s.query(3), Some(JobState::Running));
         assert_eq!(s.job(3).unwrap().wait, Some(8));
+    }
+
+    #[test]
+    fn early_completion_pulls_a_planned_job_forward() {
+        let config = SimConfig {
+            backfill: Backfill::Conservative,
+            ..SimConfig::default()
+        };
+        let mut s = SimSession::new(&tiny(), config);
+        s.submit(job(1, 0, 10, 40, 100)).unwrap(); // plans to end at 100, ends at 10
+        s.submit(job(2, 0, 200, 50, 200)).unwrap();
+        s.submit(job(3, 1, 50, 100, 50)).unwrap(); // head: needs the machine at 200
+        s.submit(job(4, 2, 50, 50, 50)).unwrap(); // planned into job 1's slot at 100
+        s.advance_to(2);
+        assert_eq!(s.query(4), Some(JobState::Waiting));
+        s.assert_profiles_match_rebuild();
+        // Job 1 hands [10, 100) back: job 4 now fits there, so the kept
+        // plan must not hold it to its old start at 100.
+        s.advance_to(10);
+        s.assert_profiles_match_rebuild();
+        assert_eq!(s.query(4), Some(JobState::Running));
+        assert_eq!(s.job(4).unwrap().wait, Some(8));
+        assert_eq!(s.query(3), Some(JobState::Waiting));
+        let r = s.into_result();
+        assert_eq!(r.jobs.iter().find(|j| j.id == 3).unwrap().wait, Some(199));
     }
 
     /// Jobs with every lifecycle state represented: finished, running,

@@ -498,3 +498,122 @@ fn arb_tenant_config() -> impl Strategy<Value = SimConfig> {
             ..SimConfig::default()
         })
 }
+
+/// A Philly-shaped machine small enough to queue: 60 units in three
+/// virtual clusters of uneven size.
+fn tiny_philly() -> SystemSpec {
+    let mut s = SystemSpec::philly();
+    s.name = "prop-philly".into();
+    s.total_nodes = 60;
+    s.units_per_node = 1;
+    s.total_units = 60;
+    s.virtual_clusters = 3;
+    s
+}
+
+/// Jobs that exercise every way a kept conservative plan can go stale:
+/// arrivals on a coarse 50 s grid (many same-instant arrivals),
+/// walltimes above the runtime (early completions), below it (overruns)
+/// and, for half the jobs, equal to it (exact estimates, under which a
+/// plan survives completions), and a virtual cluster each.
+fn arb_plan_jobs() -> impl Strategy<Value = Vec<Job>> {
+    let slack = prop_oneof![Just(0i64), Just(0i64), -500i64..0, 1i64..600];
+    prop::collection::vec((0i64..40, 1i64..600, 1u64..=20, slack, 0u16..3), 1..60).prop_map(|raw| {
+        let mut jobs: Vec<Job> = raw
+            .into_iter()
+            .enumerate()
+            .map(|(i, (slot, runtime, procs, slack, vc))| {
+                let mut j = Job::basic(i as u64, (i % 5) as u32, slot * 50, runtime, procs);
+                j.walltime = Some((runtime + slack).max(1));
+                j.virtual_cluster = Some(vc);
+                j
+            })
+            .collect();
+        jobs.sort_by_key(|j| (j.submit, j.id));
+        jobs
+    })
+}
+
+/// Conservative backfill under every policy, fair-share included.
+fn arb_conservative_config() -> impl Strategy<Value = SimConfig> {
+    (
+        prop_oneof![
+            Just(Policy::Fcfs),
+            Just(Policy::Sjf),
+            Just(Policy::Ljf),
+            Just(Policy::Saf),
+            Just(Policy::Sqf),
+            Just(Policy::MaxMinFair),
+            Just(Policy::WeightedFair)
+        ],
+        any::<bool>(),
+    )
+        .prop_map(|(policy, respect_virtual_clusters)| SimConfig {
+            policy,
+            backfill: Backfill::Conservative,
+            respect_virtual_clusters,
+            ..SimConfig::default()
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Conservative backfill keeps each partition's plan across passes
+    /// and only extends it. After every `advance_to`, cancel and
+    /// checkpoint/restore, any plan the next pass would reuse must equal
+    /// a plan rebuilt from the skyline and the queue — starts and
+    /// profile — over random tenants, cancels of waiting jobs, early
+    /// completions, overruns and same-instant arrivals.
+    #[test]
+    fn kept_conservative_plan_matches_rebuild(
+        jobs in arb_plan_jobs(),
+        config in arb_conservative_config(),
+        seed in any::<u64>(),
+    ) {
+        let system = tiny_philly();
+        let table = TenantTable::parse("alpha 2.0 -\nbeta 0.5 -\n").unwrap();
+        let names = ["alpha", "beta", TenantTable::DEFAULT];
+        let mut rng = TestRng::new(seed);
+        let mut session = SimSession::new_with_tenants(&system, config, table);
+        let mut submitted: Vec<u64> = Vec::new();
+        // One random disturbance between steps: a cancel of any
+        // submitted job (waiting ones exercise the plan) or a JSON
+        // checkpoint and restore.
+        let disturb = |session: &mut SimSession, rng: &mut TestRng, submitted: &[u64]| {
+            match rng.next_u64() % 8 {
+                0 if !submitted.is_empty() => {
+                    session.cancel(submitted[rng.next_u64() as usize % submitted.len()]);
+                }
+                1 => {
+                    let json = serde_json::to_string(&session.save_state()).unwrap();
+                    let state: SessionState = serde_json::from_str(&json).unwrap();
+                    *session = SimSession::restore(&system, state).unwrap();
+                }
+                _ => return,
+            }
+            session.assert_profiles_match_rebuild();
+        };
+        for job in jobs {
+            match rng.next_u64() % 4 {
+                0 => session.advance_to(job.submit),
+                1 => session.advance_to(job.submit - (rng.next_u64() % 100) as i64),
+                _ => {}
+            }
+            session.assert_profiles_match_rebuild();
+            disturb(&mut session, &mut rng, &submitted);
+            let name = names[rng.next_u64() as usize % names.len()];
+            let tenant = session.resolve_tenant(Some(name)).unwrap();
+            let id = job.id;
+            session
+                .submit_with_tenant(job, tenant, None)
+                .map_err(|e| TestCaseError::fail(format!("submit: {e}")))?;
+            submitted.push(id);
+        }
+        while let Some(t) = session.next_event_time() {
+            session.advance_to(t);
+            session.assert_profiles_match_rebuild();
+            disturb(&mut session, &mut rng, &submitted);
+        }
+    }
+}
